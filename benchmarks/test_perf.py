@@ -57,6 +57,20 @@ def test_bench_module_writes_json(tmp_path):
     assert data["trajectory"] == []
 
 
+def test_time_baseline_on_own_tree():
+    """``--baseline-src`` times another tree in a subprocess; pointed at
+    this tree's own ``src`` it must simulate the same cycles and
+    committed instructions as the in-process case."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    base = bench.time_baseline(src, "memcpy", "uve", 0.1, repeats=1)
+    run = bench.bench_case("memcpy", "uve", scale=0.1, repeats=1)
+    assert base["cycles"] == run["cycles"]
+    assert base["committed"] == run["committed"]
+    assert base["wall_s"] > 0
+
+
 def test_bench_bless_appends_trajectory(tmp_path):
     """--bless appends one append-only trajectory entry per run and
     carries prior entries forward across invocations."""

@@ -83,20 +83,14 @@ def pipeline_timeline(
 ) -> str:
     """Run the full simulator and render rename/issue/commit cycles for
     ``count`` instructions starting at dynamic index ``first``."""
-    import numpy as np
-
     config = config or uve_machine()
-    snapshot = memory.data.copy()
-    summary = FunctionalSimulator(
-        program, memory=memory, vector_bits=config.vector_bits
-    ).run()
-    np.copyto(memory.data, snapshot)
-
-    second = FunctionalSimulator(
+    sim = FunctionalSimulator(
         program, memory=memory, vector_bits=config.vector_bits
     )
+    trace = list(sim.trace())
     hierarchy = MemoryHierarchy(config)
-    pipeline = Pipeline(config, hierarchy, dict(summary.streams))
+    hierarchy.warm(0, memory._brk)  # as Simulator.run does by default
+    pipeline = Pipeline(config, hierarchy, dict(sim.summary.streams))
     window: Dict[int, OpTiming] = {}
 
     def observer(event: str, dyn, cycle: float) -> None:
@@ -108,7 +102,7 @@ def pipeline_timeline(
         setattr(timing, event, cycle)
 
     pipeline.observer = observer
-    stats = pipeline.run(second.trace())
+    stats = pipeline.run(iter(trace))
 
     header = (
         f"{'seq':>6s} {'pc':>4s} {'instruction':<40s} "

@@ -391,8 +391,8 @@ class MachineState:
         self.ev_mem_reads: List[int] = []
         self.ev_mem_writes: List[int] = []
         self.ev_mem_width = 0
-        self.ev_stream_reads: List[Tuple[int, int, int]] = []
-        self.ev_stream_writes: List[Tuple[int, int, int]] = []
+        self.ev_stream_reads: List[Tuple[int, int, int, bool]] = []
+        self.ev_stream_writes: List[Tuple[int, int, int, bool]] = []
         self.ev_cfg_uid: Optional[int] = None
         self._ev_dirty = False
 

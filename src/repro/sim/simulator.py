@@ -2,22 +2,20 @@
 
 The timing pipeline needs complete per-stream chunk sequences *before*
 consuming instructions arrive (the Streaming Engine runs ahead of the
-core), so simulation is two-pass: the functional simulator runs once to
-produce stream metadata and the committed-instruction summary, memory is
-restored from a snapshot, and a second functional pass feeds the pipeline
-its trace lazily (keeping peak memory flat).
+core), so simulation runs the functional simulator once, holds its
+dynamic trace in memory, and feeds that trace to the pipeline together
+with the stream metadata the same pass collected.  Memory grows with the
+trace: the longest paper trace, 3mm/neon at scale 1.0 (253,180 committed
+instructions), peaks at 99.7 MB RSS (see docs/TIMING.md).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.stats import PipelineStats
-from repro.errors import ExecutionError
 from repro.isa.program import Program
 from repro.memory.backing import Memory
 from repro.memory.hierarchy import MemoryHierarchy
@@ -83,63 +81,6 @@ class SimulationResult:
         return out
 
 
-def _check_replay(
-    program: str, first: TraceSummary, second: TraceSummary
-) -> None:
-    """Compare the two passes' full trace summaries.
-
-    The timing pipeline's trace (pass 2) must be the same dynamic
-    instruction sequence the Streaming Engine metadata was collected
-    from (pass 1); any divergence means data-dependent control flow saw
-    different memory — the snapshot/restore contract was violated — and
-    every timing number would be quietly wrong.  The diff names each
-    mismatching facet so the failure is debuggable.
-    """
-    problems = []
-    if second.committed != first.committed:
-        problems.append(
-            f"committed {second.committed} vs {first.committed}"
-        )
-    if second.by_class != first.by_class:
-        keys = sorted(
-            set(first.by_class) | set(second.by_class), key=lambda c: c.name
-        )
-        diffs = [
-            f"{cls.name}: {second.by_class.get(cls, 0)} vs "
-            f"{first.by_class.get(cls, 0)}"
-            for cls in keys
-            if second.by_class.get(cls, 0) != first.by_class.get(cls, 0)
-        ]
-        problems.append(f"per-class counts differ ({'; '.join(diffs)})")
-    if second.branches != first.branches:
-        problems.append(f"branches {second.branches} vs {first.branches}")
-    if second.taken_branches != first.taken_branches:
-        problems.append(
-            f"taken branches {second.taken_branches} vs "
-            f"{first.taken_branches}"
-        )
-    if len(second.streams) != len(first.streams):
-        problems.append(
-            f"stream configurations {len(second.streams)} vs "
-            f"{len(first.streams)}"
-        )
-    else:
-        for uid, info in first.streams.items():
-            other = second.streams.get(uid)
-            if other is None:
-                problems.append(f"stream uid {uid} missing in pass 2")
-            elif len(other.chunks) != len(info.chunks):
-                problems.append(
-                    f"stream uid {uid} (reg u{info.reg}): "
-                    f"{len(other.chunks)} vs {len(info.chunks)} chunks"
-                )
-    if problems:
-        raise ExecutionError(
-            f"non-deterministic replay of {program!r}: the timing pass "
-            "diverged from the metadata pass — " + "; ".join(problems)
-        )
-
-
 class Simulator:
     """Runs a program functionally and through the timing model."""
 
@@ -157,43 +98,20 @@ class Simulator:
         #: measurement); working sets beyond the L2 capacity overflow.
         self.warm = warm
 
-    def run_functional(self) -> TraceSummary:
-        """Functional-only run (fast; used for instruction counts)."""
+    def run(self) -> SimulationResult:
         sim = FunctionalSimulator(
             self.program, memory=self.memory,
             vector_bits=self.config.vector_bits,
         )
-        return sim.run()
-
-    def run(self) -> SimulationResult:
-        snapshot = self.memory.data.copy()
-
-        # Pass 1: functional, collecting stream metadata + summary.
-        first = FunctionalSimulator(
-            self.program, memory=self.memory,
-            vector_bits=self.config.vector_bits,
-        )
-        summary = first.run()
-
-        # Restore memory so the data-dependent control flow of pass 2
-        # replays identically.
-        np.copyto(self.memory.data, snapshot)
-
-        # Pass 2: lazy trace into the timing pipeline.
-        second = FunctionalSimulator(
-            self.program, memory=self.memory,
-            vector_bits=self.config.vector_bits,
-        )
+        trace = list(sim.trace())
         hierarchy = MemoryHierarchy(self.config)
         if self.warm:
             hierarchy.warm(0, self.memory._brk)
-        stream_infos: Dict = dict(summary.streams)
-        pipeline = Pipeline(self.config, hierarchy, stream_infos)
-        timing = pipeline.run(second.trace())
-        _check_replay(self.program.name, summary, second.summary)
+        pipeline = Pipeline(self.config, hierarchy, dict(sim.summary.streams))
+        timing = pipeline.run(iter(trace))
         return SimulationResult(
             program=self.program.name,
-            summary=summary,
+            summary=sim.summary,
             timing=timing,
             hierarchy=hierarchy,
             pipeline=pipeline,

@@ -49,8 +49,8 @@ class DynOp:
         mem_width: int = 0,
         is_branch: bool = False,
         taken: bool = False,
-        stream_reads: Optional[Tuple[Tuple[int, int, int], ...]] = None,
-        stream_writes: Optional[Tuple[Tuple[int, int, int], ...]] = None,
+        stream_reads: Optional[Tuple[Tuple[int, int, int, bool], ...]] = None,
+        stream_writes: Optional[Tuple[Tuple[int, int, int, bool], ...]] = None,
         cfg_uid: Optional[int] = None,
         early_dests=(),
     ) -> None:
@@ -66,7 +66,8 @@ class DynOp:
         self.mem_width = mem_width
         self.is_branch = is_branch
         self.taken = taken
-        #: tuples of (vector-register index, stream uid, chunk index)
+        #: tuples of (vector-register index, stream uid, chunk index,
+        #: closed) — ``closed`` is True when the access completes the chunk
         self.stream_reads = stream_reads
         self.stream_writes = stream_writes
         self.cfg_uid = cfg_uid

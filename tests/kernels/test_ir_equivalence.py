@@ -68,3 +68,20 @@ class TestProgramsIdentical:
         legacy_prog = kernel.build("uve", wl, lowering="legacy")
         assert not programs_identical(ir_prog, legacy_prog)
         assert programs_identical(ir_prog, ir_prog)
+
+
+class TestVectorBits:
+    @pytest.mark.parametrize("name", ["stream", "memcpy"])  # oracle, identical
+    def test_functional_runs_at_requested_width(self, name):
+        from repro.sim.functional import FunctionalSimulator
+
+        kernel = get_kernel(name)
+        verdict = check_kernel(
+            kernel, "uve", scale=SCALE, vector_bits=128, timing=False
+        )
+        wl = kernel.workload(seed=0, scale=SCALE)
+        program = kernel.build("uve", wl, 128, lowering="ir")
+        direct = FunctionalSimulator(
+            program, memory=wl.memory, vector_bits=128
+        ).run()
+        assert verdict.ir_committed == direct.committed

@@ -65,6 +65,21 @@ class TestPipelineTimeline:
                 )
                 assert rename <= issue <= commit
 
+    def test_total_matches_simulator_run(self):
+        from repro.cpu.config import uve_machine
+        from repro.kernels import get_kernel
+        from repro.sim.simulator import Simulator
+
+        kernel = get_kernel("saxpy")
+        runs = []
+        for _ in range(2):
+            wl = kernel.workload(seed=0, scale=0.1)
+            runs.append((kernel.build("uve", wl), wl.memory))
+        text = pipeline_timeline(*runs[0], config=uve_machine(), count=4)
+        total = text.splitlines()[-1]
+        cycles = Simulator(*runs[1], uve_machine()).run().cycles
+        assert total.startswith(f"total: {cycles:.0f} cycles,")
+
 
 class TestStreamReport:
     def test_lists_all_streams(self):

@@ -1,15 +1,18 @@
-"""Unit tests for the combined Simulator (two-pass orchestration)."""
+"""Unit tests for the combined Simulator (one functional pass feeding
+the timing model)."""
 import numpy as np
 import pytest
 
 from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.pipeline import Pipeline
 from repro.isa import ProgramBuilder, f, u, x
 from repro.isa import scalar_ops as sc
 from repro.isa import uve_ops as uve
-from repro.errors import ExecutionError
-from repro.isa.microop import OpClass
+from repro.kernels import get_kernel
 from repro.memory.backing import Memory
-from repro.sim.simulator import SimulationResult, Simulator, _check_replay
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim.functional import FunctionalSimulator
+from repro.sim.simulator import SimulationResult, Simulator
 from repro.streams.pattern import Direction
 
 
@@ -31,10 +34,10 @@ def scale_program(mem, n=256):
     return b.build(), data
 
 
-class TestTwoPassOrchestration:
-    def test_memory_restored_between_passes(self):
-        """In-place kernels replay identically because pass 2 starts from
-        a snapshot — the final memory equals a single sequential run."""
+class TestOrchestration:
+    def test_in_place_kernel_runs_once(self):
+        """The functional pass runs exactly once, so an in-place kernel
+        leaves memory as a single sequential run would."""
         mem = Memory(1 << 20)
         program, data = scale_program(mem)
         Simulator(program, mem, uve_machine()).run()
@@ -69,13 +72,6 @@ class TestTwoPassOrchestration:
             warm_mem.ndarray(warm_data, (256,), np.float32),
         )
 
-    def test_run_functional_is_cheap_path(self):
-        mem = Memory(1 << 20)
-        program, _ = scale_program(mem)
-        summary = Simulator(program, mem, uve_machine()).run_functional()
-        assert summary.committed > 0
-        assert summary.streams  # stream metadata collected
-
     def test_default_config_is_uve(self):
         mem = Memory(1 << 20)
         program, _ = scale_program(mem)
@@ -83,61 +79,60 @@ class TestTwoPassOrchestration:
         assert result.pipeline.engine is not None
 
 
-class TestReplayCheck:
-    """Simulator.run must fail loudly if the timing pass (pass 2) does
-    not replay the exact dynamic trace the stream metadata (pass 1) was
-    collected from."""
-
-    def run_summary(self):
+class TestFunctionalRun:
+    def test_run_collects_stream_metadata(self):
         mem = Memory(1 << 20)
         program, _ = scale_program(mem)
-        sim = Simulator(program, mem, uve_machine())
-        return sim.run_functional()
+        summary = FunctionalSimulator(program, memory=mem).run()
+        assert summary.committed > 0
+        assert summary.streams  # stream metadata collected
 
-    def test_identical_replay_passes(self):
-        # Simulator.run calls _check_replay internally; a normal run must
-        # not trip it.
-        mem = Memory(1 << 20)
-        program, _ = scale_program(mem)
-        Simulator(program, mem, uve_machine()).run()
 
-    def test_committed_divergence(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.committed += 3
-        with pytest.raises(ExecutionError, match="committed"):
-            _check_replay("scale", first, second)
+def two_pass_reference(program, memory, config):
+    """The former orchestration: a metadata pass, a memory restore, then
+    a lazy replay into the timing model."""
+    snapshot = memory.data.copy()
+    summary = FunctionalSimulator(
+        program, memory=memory, vector_bits=config.vector_bits
+    ).run()
+    np.copyto(memory.data, snapshot)
+    replay = FunctionalSimulator(
+        program, memory=memory, vector_bits=config.vector_bits
+    )
+    hierarchy = MemoryHierarchy(config)
+    hierarchy.warm(0, memory._brk)
+    pipeline = Pipeline(config, hierarchy, dict(summary.streams))
+    timing = pipeline.run(replay.trace())
+    return SimulationResult(program.name, summary, timing, hierarchy, pipeline)
 
-    def test_per_class_divergence_names_the_class(self):
-        first, second = self.run_summary(), self.run_summary()
-        cls = next(iter(second.by_class))
-        second.by_class[cls] += 1
-        with pytest.raises(ExecutionError, match=cls.name):
-            _check_replay("scale", first, second)
 
-    def test_branch_divergence(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.taken_branches += 1
-        with pytest.raises(ExecutionError, match="taken branches"):
-            _check_replay("scale", first, second)
+class TestTwoPassOracle:
+    """The single pass must reproduce the two-pass reference exactly on
+    in-place, data-dependent and indirect kernels."""
 
-    def test_stream_chunk_divergence(self):
-        first, second = self.run_summary(), self.run_summary()
-        uid, info = next(iter(second.streams.items()))
-        info.chunks.append([])
-        with pytest.raises(ExecutionError, match=f"uid {uid}"):
-            _check_replay("scale", first, second)
+    @pytest.mark.parametrize("name,isa", [
+        ("floyd-warshall", "uve"),  # in place, data-dependent
+        ("mamr-ind", "uve"),  # indirect
+        ("seidel-2d", "sve"),  # in place
+        ("jacobi-2d", "neon"),
+        ("trisolv", "uve"),
+    ])
+    def test_matches_two_pass_reference(self, name, isa):
+        kernel = get_kernel(name)
+        config = uve_machine() if isa == "uve" else baseline_machine()
 
-    def test_missing_stream_config(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.streams.clear()
-        with pytest.raises(ExecutionError, match="stream configurations"):
-            _check_replay("scale", first, second)
+        def run(orchestrate):
+            wl = kernel.workload(seed=0, scale=0.1)
+            program = kernel.build(isa, wl, config.vector_bits)
+            result = orchestrate(program, wl.memory, config)
+            wl.verify()
+            return result, wl.memory.data.tobytes()
 
-    def test_message_names_the_program(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.committed += 1
-        with pytest.raises(ExecutionError, match="'scale'"):
-            _check_replay("scale", first, second)
+        got, got_image = run(lambda *args: Simulator(*args).run())
+        want, want_image = run(two_pass_reference)
+        assert got.timing.as_dict() == want.timing.as_dict()
+        assert got.to_dict() == want.to_dict()
+        assert got_image == want_image
 
 
 class TestResultExport:
